@@ -1,6 +1,6 @@
 # Convenience targets; see README.md.
 
-.PHONY: install test lint bench engine-bench experiments examples serve-quick cob recovery e21-quick all
+.PHONY: install test lint bench perfbench engine-bench experiments examples serve-quick cob recovery e21-quick all
 
 install:
 	pip install -e .
@@ -17,6 +17,11 @@ lint:
 
 bench:
 	pytest benchmarks/ --benchmark-only
+
+# The repo benchmark's own tests (perfbench/README.md); tier-1's
+# testpaths do not include them.
+perfbench:
+	python3 -m pytest perfbench/tests -q
 
 # Vectorized-engine gates: batch/serial byte-identity + speedup (smoke).
 engine-bench:

@@ -159,11 +159,15 @@ class BufferCache:
     # -- eviction internals ---------------------------------------------------
 
     def _evict_until_fits(self) -> None:
+        root = self._root
         while self.cached_bytes > self.capacity_bytes and self._n_resident > 1:
-            victim = next(
-                (e for e in self._resident_lru_order() if e.pins == 0), None
-            )
-            if victim is None:
+            # The victim is the least recently used unpinned entry: walk the
+            # ring from its LRU end past pinned entries.  The sentinel has
+            # no pins, so the walk stops there if every entry is pinned.
+            victim = root.next
+            while victim.pins:
+                victim = victim.next
+            if victim is root:
                 raise CacheError("cache over budget but every entry is pinned")
             self._evict(victim)
 

@@ -19,7 +19,6 @@ contention rather than being postulated.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
@@ -127,29 +126,39 @@ class SimulatedSSD(BlockDevice):
         """Decompose an IO into per-die page counts, in address order.
 
         Returns ``[(die, n_pages), ...]`` with one entry per stripe unit the
-        IO touches.
+        IO touches: a first (possibly partial) stripe, the full stripes in
+        between, and a last (possibly partial) stripe, each computed
+        directly from the IO's bounds.
         """
+        if nbytes <= 0:
+            return []
         g = self.geometry
-        plan: list[tuple[int, int]] = []
-        pos = offset
+        stripe_bytes, page_bytes, n_dies = g.stripe_bytes, g.page_bytes, g.total_dies
         end = offset + nbytes
-        while pos < end:
-            stripe = pos // g.stripe_bytes
-            stripe_end = (stripe + 1) * g.stripe_bytes
-            chunk = min(end, stripe_end) - pos
-            pages = math.ceil(chunk / g.page_bytes)
-            plan.append((self.die_of_stripe(stripe), pages))
-            pos += chunk
+        first = offset // stripe_bytes
+        last = (end - 1) // stripe_bytes
+        if first == last:
+            return [(first % n_dies, -(-nbytes // page_bytes))]
+        head = (first + 1) * stripe_bytes - offset
+        tail = end - last * stripe_bytes
+        full = stripe_bytes // page_bytes
+        plan = [(first % n_dies, -(-head // page_bytes))]
+        plan.extend((stripe % n_dies, full) for stripe in range(first + 1, last))
+        plan.append((last % n_dies, -(-tail // page_bytes)))
         return plan
 
     # -- timing -------------------------------------------------------------
 
     def _read_completion(self, offset: int, nbytes: int, at: float) -> float:
         # The die/channel acquire chains, run directly on the pool's
-        # timeline arrays with the slot state held in locals: same float64
-        # operations in the same order as per-slot ``acquire`` calls
-        # (max-then-add, busy accumulated one duration at a time), without
-        # a method dispatch per page.
+        # timeline arrays with the slot state copied into Python-float
+        # locals: the same float64 operations in the same order as per-slot
+        # ``acquire`` calls (max-then-add, busy accumulated one duration at
+        # a time), without a method dispatch or a numpy scalar op per page.
+        # Within a stripe the die reads its pages back to back, so after the
+        # first page its own end time is the next page's arrival and the
+        # max reduces to it; the channel's end times only grow, so the
+        # stripe's last transfer is its latest.
         g = self.geometry
         t_read = g.page_read_seconds
         t_xfer = g.channel_transfer_seconds
@@ -161,21 +170,19 @@ class SimulatedSSD(BlockDevice):
         done = at
         for die_idx, pages in self._page_plan(offset, nbytes):
             ch_idx = die_idx % n_ch
-            d_av = dies_av[die_idx]
-            d_busy = dies_busy[die_idx]
-            c_av = ch_av[ch_idx]
-            c_busy = ch_busy[ch_idx]
-            arrival = at
+            d_av = float(dies_av[die_idx])
+            d_busy = float(dies_busy[die_idx])
+            c_av = float(ch_av[ch_idx])
+            c_busy = float(ch_busy[ch_idx])
+            if at > d_av:
+                d_av = at
             for _ in range(pages):
-                read_end = (d_av if d_av > arrival else arrival) + t_read
-                d_av = read_end
+                d_av = d_av + t_read
                 d_busy = d_busy + t_read
-                xfer_end = (c_av if c_av > read_end else read_end) + t_xfer
-                c_av = xfer_end
+                c_av = (c_av if c_av > d_av else d_av) + t_xfer
                 c_busy = c_busy + t_xfer
-                arrival = read_end  # die proceeds to the next page immediately
-                if xfer_end > done:
-                    done = xfer_end
+            if c_av > done:
+                done = c_av
             dies_av[die_idx] = d_av
             dies_busy[die_idx] = d_busy
             ch_av[ch_idx] = c_av
@@ -183,6 +190,8 @@ class SimulatedSSD(BlockDevice):
         return float(done)
 
     def _write_completion(self, offset: int, nbytes: int, at: float) -> float:
+        # The write twin of ``_read_completion``: each page crosses the bus
+        # back to back, then waits for the die to program it.
         g = self.geometry
         t_prog = g.page_program_seconds
         t_xfer = g.channel_transfer_seconds
@@ -194,21 +203,19 @@ class SimulatedSSD(BlockDevice):
         done = at
         for die_idx, pages in self._page_plan(offset, nbytes):
             ch_idx = die_idx % n_ch
-            d_av = dies_av[die_idx]
-            d_busy = dies_busy[die_idx]
-            c_av = ch_av[ch_idx]
-            c_busy = ch_busy[ch_idx]
-            arrival = at
+            d_av = float(dies_av[die_idx])
+            d_busy = float(dies_busy[die_idx])
+            c_av = float(ch_av[ch_idx])
+            c_busy = float(ch_busy[ch_idx])
+            if at > c_av:
+                c_av = at
             for _ in range(pages):
-                xfer_end = (c_av if c_av > arrival else arrival) + t_xfer
-                c_av = xfer_end
+                c_av = c_av + t_xfer
                 c_busy = c_busy + t_xfer
-                prog_end = (d_av if d_av > xfer_end else xfer_end) + t_prog
-                d_av = prog_end
+                d_av = (d_av if d_av > c_av else c_av) + t_prog
                 d_busy = d_busy + t_prog
-                arrival = xfer_end  # bus frees up for the next page
-                if prog_end > done:
-                    done = prog_end
+            if d_av > done:
+                done = d_av
             dies_av[die_idx] = d_av
             dies_busy[die_idx] = d_busy
             ch_av[ch_idx] = c_av

@@ -14,13 +14,15 @@ is simulated device time.
   write-optimized family the paper's introduction discusses).
 """
 
-from repro.trees.sizing import EntryFormat
+from repro.trees.sizing import KEY_MAX, KEY_MIN, EntryFormat
 from repro.trees.btree import BTree, BTreeConfig
 from repro.trees.betree import BeTree, BeTreeConfig, OptimizedBeTree
 from repro.trees.lsm import LSMTree, LSMConfig
 from repro.trees.cola import COLA, COLAConfig
 
 __all__ = [
+    "KEY_MAX",
+    "KEY_MIN",
     "EntryFormat",
     "BTree",
     "BTreeConfig",

@@ -32,6 +32,7 @@ from typing import TYPE_CHECKING
 
 from repro.errors import TreeError
 from repro.trees.betree.node import BeNode, SegmentBuffer
+from repro.trees.sizing import KEY_MAX, KEY_MIN, sorted_columns
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.trees.betree.tree import BeTree
@@ -111,10 +112,9 @@ def _parent_of(tree: "BeTree", target: int) -> int | None:
 
 def _collect_subtree(tree: "BeTree", nid: int) -> list[tuple[int, object]]:
     """All live entries below ``nid`` with pending messages applied."""
-    lo, hi = -(1 << 62), (1 << 62)
     entries: dict[int, object] = {}
     msgs: list = []
-    tree._collect_range(nid, lo, hi, entries, msgs)
+    tree._collect_range(nid, KEY_MIN, KEY_MAX, entries, msgs)
     msgs.sort()
     from repro.trees.betree.messages import MessageOp
 
@@ -166,17 +166,17 @@ def _build_balanced(tree: "BeTree", pairs: list[tuple[int, object]]) -> int:
     cap = max(2, int(tree.config.leaf_capacity * tree.config.bulk_fill))
     n_leaves = max(1, math.ceil(len(pairs) / cap))
 
-    # Near-equal leaf cuts.
+    # Near-equal leaf cuts, sliced from the key and value columns.
+    keys, values = sorted_columns(pairs)
     base, extra = divmod(len(pairs), n_leaves)
     leaves: list[tuple[int, int]] = []  # (first_key, node_id)
     pos = 0
     for i in range(n_leaves):
         take = base + (1 if i < extra else 0)
-        chunk = pairs[pos : pos + take]
-        pos += take
         leaf = tree._new_node(is_leaf=True)
-        leaf.keys = [k for k, _ in chunk]
-        leaf.values = [v for _, v in chunk]
+        leaf.keys = keys[pos : pos + take]
+        leaf.values = values[pos : pos + take]
+        pos += take
         tree._dirty(leaf)
         leaves.append((leaf.keys[0], leaf.node_id))
 

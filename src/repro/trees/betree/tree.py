@@ -27,7 +27,7 @@ from repro.obs import OBS
 from repro.storage.stack import StorageStack
 from repro.trees.betree.messages import Message, MessageOp, apply_messages
 from repro.trees.betree.node import BeNode, SegmentBuffer
-from repro.trees.sizing import EntryFormat
+from repro.trees.sizing import KEY_MAX, KEY_MIN, EntryFormat, sorted_columns
 
 
 @dataclass(frozen=True)
@@ -539,8 +539,7 @@ class BeTree:
 
     def items(self) -> Iterator[tuple[int, Any]]:
         """All pairs in key order (applies buffered messages logically)."""
-        lo, hi = -(1 << 62), 1 << 62
-        yield from self.range(lo, hi)
+        yield from self.range(KEY_MIN, KEY_MAX)
 
     def __len__(self) -> int:
         return len(list(self.items()))
@@ -567,47 +566,51 @@ class BeTree:
         return changed
 
     def bulk_load(self, pairs: list[tuple[int, Any]]) -> None:
-        """Replace the tree's contents with sorted ``pairs`` (empty tree only)."""
+        """Replace the tree's contents with sorted ``pairs`` (empty tree only).
+
+        Raises :class:`~repro.errors.KeyOrderError` unless keys strictly
+        increase; an empty ``pairs`` is a no-op.
+        """
         if self._next_seq or len(list(self.items())):
             raise TreeError("bulk_load requires a pristine tree")
-        for i in range(1, len(pairs)):
-            if pairs[i - 1][0] >= pairs[i][0]:
-                raise TreeError("bulk_load requires strictly increasing keys")
-        if not pairs:
+        keys, values = sorted_columns(pairs)
+        if not keys:
             return
         self._free(self._get(self.root_id))
+        # Each level is two parallel columns: its nodes' first keys and ids.
         per_leaf = max(2, int(self.config.leaf_capacity * self.config.bulk_fill))
-        all_keys = [k for k, _ in pairs]
-        all_values = [v for _, v in pairs]
-        level: list[tuple[int, int]] = []
-        for start in range(0, len(pairs), per_leaf):
+        firsts = keys[::per_leaf]
+        ids: list[int] = []
+        for start in range(0, len(keys), per_leaf):
             leaf = self._new_node(is_leaf=True)
-            leaf.keys = all_keys[start : start + per_leaf]
-            leaf.values = all_values[start : start + per_leaf]
+            leaf.keys = keys[start : start + per_leaf]
+            leaf.values = values[start : start + per_leaf]
             self._dirty(leaf)
-            level.append((leaf.keys[0], leaf.node_id))
-        self.user_bytes_modified += len(pairs) * self.config.fmt.entry_bytes
+            ids.append(leaf.node_id)
+        self.user_bytes_modified += len(keys) * self.config.fmt.entry_bytes
 
         per_internal = max(2, int(self.config.target_fanout * self.config.bulk_fill))
-        while len(level) > 1:
-            next_level: list[tuple[int, int]] = []
-            for start in range(0, len(level), per_internal):
-                group = level[start : start + per_internal]
-                if len(group) == 1 and next_level:
-                    prev = self._get(next_level[-1][1])
-                    prev.pivots.append(group[0][0])
-                    prev.children.append(group[0][1])
+        while len(ids) > 1:
+            next_firsts: list[int] = []
+            next_ids: list[int] = []
+            for start in range(0, len(ids), per_internal):
+                if start == len(ids) - 1 and next_ids:
+                    # Avoid a 1-child internal node: fold into the previous group.
+                    prev = self._get(next_ids[-1])
+                    prev.pivots.append(firsts[start])
+                    prev.children.append(ids[start])
                     prev.segments.append(SegmentBuffer())
                     self._dirty(prev)
                     continue
                 node = self._new_node(is_leaf=False)
-                node.children = [nid for _, nid in group]
-                node.pivots = [first for first, _ in group[1:]]
-                node.segments = [SegmentBuffer() for _ in group]
+                node.children = ids[start : start + per_internal]
+                node.pivots = firsts[start + 1 : start + per_internal]
+                node.segments = [SegmentBuffer() for _ in node.children]
                 self._dirty(node)
-                next_level.append((group[0][0], node.node_id))
-            level = next_level
-        self.root_id = level[0][1]
+                next_firsts.append(firsts[start])
+                next_ids.append(node.node_id)
+            firsts, ids = next_firsts, next_ids
+        self.root_id = ids[0]
 
     # -- invariants --------------------------------------------------------------
 

@@ -23,7 +23,7 @@ from repro.errors import ConfigurationError, TreeError
 from repro.obs import OBS
 from repro.storage.stack import StorageStack
 from repro.trees.btree.node import BTreeNode
-from repro.trees.sizing import EntryFormat
+from repro.trees.sizing import EntryFormat, sorted_columns
 
 
 @dataclass(frozen=True)
@@ -411,16 +411,20 @@ class BTree:
             self._range_into(node.children[idx], lo, hi, out)
 
     def items(self) -> Iterator[tuple[int, Any]]:
-        """All pairs in key order."""
-        yield from self._items_of(self.root_id)
+        """All pairs in key order.
 
-    def _items_of(self, node_id: int) -> Iterator[tuple[int, Any]]:
-        node = self._get(node_id)
-        if node.is_leaf:
-            yield from zip(node.keys, node.values)
-            return
-        for child in node.children:
-            yield from self._items_of(child)
+        An iterative depth-first leaf walk: nodes are fetched in the same
+        order, and at the same points between yields, as a recursive
+        descent would fetch them, without a generator frame per level.
+        """
+        get = self._get
+        pending = [self.root_id]
+        while pending:
+            node = get(pending.pop())
+            if node.is_leaf:
+                yield from zip(node.keys, node.values)
+            else:
+                pending.extend(reversed(node.children))
 
     # -- bulk load -----------------------------------------------------------------
 
@@ -430,49 +434,50 @@ class BTree:
         Builds leaves left to right at ``bulk_fill`` occupancy and stacks
         internal levels on top.  With a first-fit allocator this lays the
         tree out nearly sequentially on disk — a *fresh* (unaged) tree.
+        Raises :class:`~repro.errors.KeyOrderError` unless keys strictly
+        increase; an empty ``pairs`` is a no-op.
         """
         if self._count:
             raise TreeError("bulk_load requires an empty tree")
-        for i in range(1, len(pairs)):
-            if pairs[i - 1][0] >= pairs[i][0]:
-                raise TreeError("bulk_load requires strictly increasing keys")
-        if not pairs:
+        keys, values = sorted_columns(pairs)
+        if not keys:
             return
         old_root = self._get(self.root_id)
         self._free(old_root)
 
+        # Each level is two parallel columns: its nodes' first keys and ids.
         per_leaf = max(2, int(self.config.leaf_capacity * self.config.bulk_fill))
-        level: list[tuple[int, int]] = []  # (first_key, node_id) per node
-        for start in range(0, len(pairs), per_leaf):
-            chunk = pairs[start : start + per_leaf]
+        firsts = keys[::per_leaf]
+        ids: list[int] = []
+        for start in range(0, len(keys), per_leaf):
             leaf = self._new_node(is_leaf=True)
-            leaf.keys = [k for k, _ in chunk]
-            leaf.values = [v for _, v in chunk]
+            leaf.keys = keys[start : start + per_leaf]
+            leaf.values = values[start : start + per_leaf]
             self._dirty(leaf)
-            level.append((leaf.keys[0], leaf.node_id))
-        self._count = len(pairs)
-        self.user_bytes_modified += len(pairs) * self.config.fmt.entry_bytes
+            ids.append(leaf.node_id)
+        self._count = len(keys)
+        self.user_bytes_modified += len(keys) * self.config.fmt.entry_bytes
 
         per_internal = max(2, int(self.config.internal_capacity * self.config.bulk_fill))
-        while len(level) > 1:
-            next_level: list[tuple[int, int]] = []
-            for start in range(0, len(level), per_internal):
-                group = level[start : start + per_internal]
-                if len(group) == 1 and next_level:
+        while len(ids) > 1:
+            next_firsts: list[int] = []
+            next_ids: list[int] = []
+            for start in range(0, len(ids), per_internal):
+                if start == len(ids) - 1 and next_ids:
                     # Avoid a 1-child internal node: fold into the previous group.
-                    prev_first, prev_id = next_level[-1]
-                    prev = self._get(prev_id)
-                    prev.keys.append(group[0][0])
-                    prev.children.append(group[0][1])
+                    prev = self._get(next_ids[-1])
+                    prev.keys.append(firsts[start])
+                    prev.children.append(ids[start])
                     self._dirty(prev)
                     continue
                 node = self._new_node(is_leaf=False)
-                node.children = [nid for _, nid in group]
-                node.keys = [first for first, _ in group[1:]]
+                node.children = ids[start : start + per_internal]
+                node.keys = firsts[start + 1 : start + per_internal]
                 self._dirty(node)
-                next_level.append((group[0][0], node.node_id))
-            level = next_level
-        self.root_id = level[0][1]
+                next_firsts.append(firsts[start])
+                next_ids.append(node.node_id)
+            firsts, ids = next_firsts, next_ids
+        self.root_id = ids[0]
 
     # -- invariants ---------------------------------------------------------------
 

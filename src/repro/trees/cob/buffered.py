@@ -38,8 +38,9 @@ from typing import Any, Iterable, Iterator
 from repro.errors import TreeError
 from repro.storage.allocator import ExtentAllocator
 from repro.storage.device import BlockDevice
-from repro.trees.cob.tree import COBConfig, COBTree, KEY_MAX, KEY_MIN
+from repro.trees.cob.tree import COBConfig, COBTree
 from repro.trees.lsm.sstable import TOMBSTONE
+from repro.trees.sizing import KEY_MAX, KEY_MIN
 
 
 class _Bucket:

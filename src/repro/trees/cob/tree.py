@@ -43,11 +43,7 @@ from repro.storage.allocator import ExtentAllocator
 from repro.storage.device import BlockDevice
 from repro.trees.btree.veb import VEBLayout
 from repro.trees.cob.pma import EMPTY, PackedMemoryArray
-from repro.trees.sizing import EntryFormat
-
-#: The key domain: any int64 except the PMA's blank sentinel (INT64_MIN).
-KEY_MIN = -(1 << 63) + 1
-KEY_MAX = (1 << 63) - 1
+from repro.trees.sizing import KEY_MAX, KEY_MIN, EntryFormat
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from repro.errors import ConfigurationError, TreeError
 from repro.storage.device import BlockDevice
 from repro.storage.allocator import ExtentAllocator
 from repro.trees.lsm.sstable import SSTable, TOMBSTONE
-from repro.trees.sizing import EntryFormat
+from repro.trees.sizing import KEY_MAX, KEY_MIN, EntryFormat
 
 
 @dataclass(frozen=True)
@@ -303,8 +303,7 @@ class LSMTree:
 
     def items(self) -> Iterator[tuple[int, Any]]:
         """All pairs in key order."""
-        lo, hi = -(1 << 62), 1 << 62
-        yield from self.range(lo, hi)
+        yield from self.range(KEY_MIN, KEY_MAX)
 
     def __len__(self) -> int:
         return len(list(self.items()))

@@ -12,13 +12,42 @@ bytes its nodes occupy.  Rather than serializing nodes to real byte strings
 
 This matches the paper's convention of unit-size elements: one key-value
 pair is the unit, and a size-``B`` node holds ``Theta(B)`` of them.
+
+The key conventions live here too: the enumerable key domain
+(:data:`KEY_MIN`..:data:`KEY_MAX`) and :func:`sorted_columns`, the one
+order check every pointer-based bulk loader runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
+from operator import itemgetter, lt
+from typing import Any
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, KeyOrderError
+
+#: The key domain every dictionary enumerates: any int64 except INT64_MIN,
+#: which the cob tier's packed-memory array reserves as its blank slot.
+#: Whole-tree scans (``items``, ``__len__``, checkpoints, rebuilds) range
+#: over ``[KEY_MIN, KEY_MAX]``, so no storable key falls outside them.
+KEY_MIN = -(1 << 63) + 1
+KEY_MAX = (1 << 63) - 1
+
+
+def sorted_columns(pairs: list[tuple[int, Any]]) -> tuple[list[int], list[Any]]:
+    """Split key-sorted ``pairs`` into a key column and a value column.
+
+    Raises :class:`~repro.errors.KeyOrderError` unless keys strictly
+    increase.  Neighbours are compared rather than differenced with numpy
+    (an int64 difference overflows), and both the split and the check
+    run at C speed, so a loader can slice its nodes straight out of the
+    columns.
+    """
+    keys = list(map(itemgetter(0), pairs))
+    if not all(map(lt, keys, islice(keys, 1, None))):
+        raise KeyOrderError("bulk_load requires strictly increasing keys")
+    return keys, list(map(itemgetter(1), pairs))
 
 
 @dataclass(frozen=True)
