@@ -35,9 +35,11 @@ serve-quick:
 	PYTHONPATH=src python -m repro.experiments serve --quick --no-cache
 	PYTHONPATH=src python benchmarks/bench_serve.py --smoke
 
-# The cache-oblivious tier: its tests, its lint, and the E20 quick sweep.
+# The cache-oblivious tier: its tests and the read-path golden (cob and
+# LSM), its lint, and the E20 quick sweep.
 cob:
-	PYTHONPATH=src python -m pytest tests/trees/test_cob.py tests/trees/test_veb.py tests/trees/test_put_many.py -q
+	PYTHONPATH=src python -m pytest tests/trees/test_cob.py tests/trees/test_veb.py tests/trees/test_put_many.py \
+		tests/trees/test_read_path_golden.py tests/trees/test_lsm.py -q
 	PYTHONPATH=src python -m repro.lint src/repro/trees/cob
 	PYTHONPATH=src python -m repro.experiments cob --quick --no-cache
 

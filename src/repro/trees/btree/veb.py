@@ -25,6 +25,7 @@ This module provides:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -48,7 +49,9 @@ class StaticSearchTree:
         keys = np.asarray(sorted_keys, dtype=np.int64)
         if keys.ndim != 1 or keys.size == 0:
             raise ConfigurationError("need a non-empty 1-D array of keys")
-        if np.any(np.diff(keys) <= 0):
+        # Compare, don't diff: int64 subtraction overflows when adjacent
+        # keys are more than 2^63 apart.
+        if np.any(keys[1:] <= keys[:-1]):
             raise ConfigurationError("keys must be strictly increasing")
         self.n_keys = int(keys.size)
         n_leaves = 1 << max(1, math.ceil(math.log2(self.n_keys)))
@@ -72,14 +75,16 @@ class StaticSearchTree:
                 )
             self._leaf_keys[self.n_keys :] = np.int64(keys[-1]) + 1
         # Internal node i's key = max key of its left subtree, computed
-        # bottom-up: the "max of subtree" of leaves is themselves.
+        # bottom-up a level at a time: the "max of subtree" of leaves is
+        # themselves, and of an internal node its right child's (the
+        # leaves are sorted).
         subtree_max = np.empty(self.n_nodes, dtype=np.int64)
         subtree_max[self._first_leaf :] = self._leaf_keys
         node_key = np.empty(self._first_leaf, dtype=np.int64)
-        for i in range(self._first_leaf - 1, -1, -1):
-            left, right = 2 * i + 1, 2 * i + 2
-            node_key[i] = subtree_max[left]
-            subtree_max[i] = subtree_max[right]
+        for lvl in range(self.height - 2, -1, -1):
+            lo, hi = (1 << lvl) - 1, (1 << (lvl + 1)) - 1
+            node_key[lo:hi] = subtree_max[2 * lo + 1 : 2 * hi : 2]
+            subtree_max[lo:hi] = subtree_max[2 * lo + 2 : 2 * hi + 1 : 2]
         self._node_key = node_key
 
     def leaf_of(self, key: int) -> int:
@@ -123,6 +128,7 @@ class VEBLayout:
     recursion: a tree of height ``h`` lays out its top ``ceil(h/2)`` levels
     (recursively), then each bottom subtree (recursively) left to right —
     so every recursive bottom subtree occupies a *contiguous* range.
+    ``position`` is read-only and shared by every layout of one height.
     """
 
     def __init__(self, height: int) -> None:
@@ -130,36 +136,33 @@ class VEBLayout:
             raise ConfigurationError(f"height must be >= 1, got {height}")
         self.height = height
         self.n_nodes = (1 << height) - 1
-        self.position = np.empty(self.n_nodes, dtype=np.int64)
-        self._next = 0
-        self._assign(0, height)
-        assert self._next == self.n_nodes
-        del self._next
+        self.position = _veb_positions(height)
+        assert self.position.size == self.n_nodes
 
-    def _assign(self, root: int, h: int) -> None:
-        if h == 1:
-            self.position[root] = self._next
-            self._next += 1
-            return
-        top_h = (h + 1) // 2
-        bottom_h = h - top_h
-        self._assign_top(root, top_h)
-        first = ((root + 1) << top_h) - 1
-        for sub_root in range(first, first + (1 << top_h)):
-            self._assign(sub_root, bottom_h)
 
-    def _assign_top(self, root: int, h: int) -> None:
-        """Lay out the height-``h`` top tree rooted at ``root`` recursively."""
-        if h == 1:
-            self.position[root] = self._next
-            self._next += 1
-            return
-        top_h = (h + 1) // 2
-        bottom_h = h - top_h
-        self._assign_top(root, top_h)
-        first = ((root + 1) << top_h) - 1
-        for sub_root in range(first, first + (1 << top_h)):
-            self._assign_top(sub_root, bottom_h)
+@functools.lru_cache(maxsize=32)
+def _veb_positions(height: int) -> np.ndarray:
+    """vEB ranks in heap order, built a level at a time from the ranks of
+    the top tree and of one bottom tree (every bottom tree shares them)."""
+    if height == 1:
+        position = np.zeros(1, dtype=np.int64)
+    else:
+        top_h = (height + 1) // 2
+        top, bottom = _veb_positions(top_h), _veb_positions(height - top_h)
+        top_nodes, bottom_nodes = top.size, bottom.size
+        position = np.empty((1 << height) - 1, dtype=np.int64)
+        position[:top_nodes] = top
+        # Bottom tree j follows the top tree and the j bottom trees before it.
+        subtree_base = top_nodes + bottom_nodes * np.arange(1 << top_h, dtype=np.int64)
+        for depth in range(top_h, height):
+            # Level ``depth`` holds 2^top_h runs, one per bottom tree, of
+            # that tree's level ``depth - top_h``.
+            local = depth - top_h
+            ranks = bottom[(1 << local) - 1 : (1 << (local + 1)) - 1]
+            level = position[(1 << depth) - 1 : (1 << (depth + 1)) - 1]
+            np.add(subtree_base[:, None], ranks, out=level.reshape(-1, ranks.size))
+    position.flags.writeable = False
+    return position
 
 
 @dataclass(frozen=True)

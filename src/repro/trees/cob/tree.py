@@ -45,6 +45,10 @@ from repro.trees.btree.veb import VEBLayout
 from repro.trees.cob.pma import EMPTY, PackedMemoryArray
 from repro.trees.sizing import KEY_MAX, KEY_MIN, EntryFormat
 
+#: Heap levels at most this wide are repaired and mapped to vEB blocks
+#: with Python ints; wider ones with one numpy call each.
+_NARROW = 8
+
 
 @dataclass(frozen=True)
 class COBConfig:
@@ -120,7 +124,6 @@ class COBTree:
         self.values: dict[int, Any] = {}
         self.user_bytes_modified = 0
         self.index_rebuilds = 0
-        self._layout_cache: tuple[int, VEBLayout] | None = None
         self._index_offset = -1
         self._index_nbytes = 0
         # Nodes per vEB index block: 2^levels - 1, so the recursion's
@@ -138,43 +141,37 @@ class COBTree:
 
     # -- index layout --------------------------------------------------------
 
-    @property
-    def _height(self) -> int:
-        return int(math.log2(self.pma.capacity)) + 1
-
-    @property
-    def _first_leaf(self) -> int:
-        return self.pma.capacity - 1
-
-    def _layout(self) -> VEBLayout:
-        if self._layout_cache is None or self._layout_cache[0] != self._height:
-            self._layout_cache = (self._height, VEBLayout(self._height))
-        return self._layout_cache[1]
-
-    @property
-    def _pinned_below(self) -> int:
-        """Heap indices ``< _pinned_below`` are RAM-pinned (free to read).
+    def _set_geometry(self, capacity: int) -> None:
+        """Cache the index shape for ``capacity`` slots.
 
         The top ``L`` complete levels fit the RAM budget when
-        ``(2^L - 1) * pivot_bytes <= ram_bytes``; pinning whole levels
-        keeps residency independent of the vEB permutation.
+        ``(2^L - 1) * pivot_bytes <= ram_bytes`` and are pinned: heap
+        indices ``< _pinned_below`` are free to read.  Pinning whole
+        levels keeps residency independent of the vEB permutation.
         """
+        self._height = capacity.bit_length()
+        self._first_leaf = capacity - 1
+        self._position: np.ndarray | None = None  # see _veb_position
         budget = self.config.ram_bytes // self.config.fmt.pivot_bytes
-        levels = min(self._height, max(0, (budget + 1).bit_length() - 1))
-        return (1 << levels) - 1
+        self._pinned_levels = min(self._height, max(0, (budget + 1).bit_length() - 1))
+        self._pinned_below = (1 << self._pinned_levels) - 1
+
+    def _veb_position(self) -> np.ndarray:
+        """vEB rank of every heap index, fetched on first use after each
+        index rebuild (:class:`VEBLayout` shares one array per height)."""
+        if self._position is None:
+            self._position = VEBLayout(self._height).position
+        return self._position
 
     def _build_index(self, *, charge: bool) -> None:
         """(Re)compute the whole max-heap and rewrite the index extent."""
         capacity = self.pma.capacity
+        self._set_geometry(capacity)
         n_nodes = 2 * capacity - 1
-        node_max = np.empty(n_nodes, dtype=np.int64)
-        node_max[self._first_leaf :] = self.pma.keys
+        self._node_max = np.empty(n_nodes, dtype=np.int64)
+        self._node_max[self._first_leaf :] = self.pma.keys
         for lvl in range(self._height - 2, -1, -1):
-            lo, hi = (1 << lvl) - 1, (1 << (lvl + 1)) - 1
-            node_max[lo:hi] = np.maximum(
-                node_max[2 * lo + 1 : 2 * hi : 2], node_max[2 * lo + 2 : 2 * hi + 1 : 2]
-            )
-        self._node_max = node_max
+            self._repair_level((1 << lvl) - 1, (1 << (lvl + 1)) - 1)
         if self._index_offset >= 0:
             self.allocator.free(self._index_offset, self._index_nbytes)
         n_blocks = math.ceil(n_nodes / self._nodes_per_block)
@@ -187,60 +184,96 @@ class COBTree:
     def _charge_index_path(self, path: list[int]) -> None:
         """Charge reads of the distinct unpinned vEB blocks on a root-to-leaf
         path, in ascending block order (deterministic)."""
-        pinned_below = self._pinned_below
-        unpinned = [i for i in path if i >= pinned_below]
-        if not unpinned:
+        if path[-1] < self._pinned_below:
             return
-        position = self._layout().position
-        blocks = np.unique(position[unpinned] // self._nodes_per_block)
+        # Pinned levels are whole levels, and path[d] sits at depth d.
+        rank = self._veb_position().item
+        per_block = self._nodes_per_block
+        blocks = sorted({rank(i) // per_block for i in path[self._pinned_levels :]})
+        block_bytes = self.config.block_bytes
         for blk in blocks:
-            self.device.read(
-                self._index_offset + int(blk) * self.config.block_bytes,
-                self.config.block_bytes,
-            )
+            self.device.read(self._index_offset + blk * block_bytes, block_bytes)
 
-    def _update_index(self, slot_lo: int, slot_hi: int, resized: bool) -> None:
-        """Repair the heap over slots ``[slot_lo, slot_hi)`` after the PMA
-        rewrote them; charge writes of the covering vEB blocks."""
-        if resized:
-            self._build_index(charge=True)
-            return
+    def _blocks_of(self, lo: int, hi: int) -> Iterable[int]:
+        """vEB blocks holding heap indices ``[lo, hi)`` (one level)."""
+        per_block = self._nodes_per_block
+        if hi - lo > _NARROW:
+            return set((self._veb_position()[lo:hi] // per_block).tolist())
+        rank = self._veb_position().item
+        return {rank(i) // per_block for i in range(lo, hi)}
+
+    def _repair_level(self, lo: int, hi: int) -> bool:
+        """Recompute ``node_max`` over heap indices ``[lo, hi)`` (one level)
+        from their children; whether any value may have changed."""
         node_max = self._node_max
-        lo, hi = self._first_leaf + slot_lo, self._first_leaf + slot_hi
-        node_max[lo:hi] = self.pma.keys[slot_lo:slot_hi]
-        touched = [np.arange(lo, hi, dtype=np.int64)]
-        while lo > 0:
-            lo, hi = (lo - 1) >> 1, (((hi - 1) - 1) >> 1) + 1
+        if hi - lo > _NARROW:
             node_max[lo:hi] = np.maximum(
                 node_max[2 * lo + 1 : 2 * hi : 2], node_max[2 * lo + 2 : 2 * hi + 1 : 2]
             )
-            touched.append(np.arange(lo, hi, dtype=np.int64))
-        nodes = np.concatenate(touched)
-        nodes = nodes[nodes >= self._pinned_below]
-        if nodes.size == 0:
+            return True
+        value = node_max.item
+        changed = False
+        for i in range(lo, hi):
+            left = value(2 * i + 1)
+            right = value(2 * i + 2)
+            new = left if left > right else right
+            if new != value(i):
+                node_max[i] = new
+                changed = True
+        return changed
+
+    def _update_index(self, slot_lo: int, slot_hi: int, resized: bool) -> None:
+        """Repair the heap over slots ``[slot_lo, slot_hi)`` after the PMA
+        rewrote them; charge writes of the covering vEB blocks.
+
+        The repair climbs the ancestor cone a level at a time and stops
+        once a level comes out unchanged; the charge covers every
+        unpinned node of the cone either way."""
+        if resized:
+            self._build_index(charge=True)
             return
-        blocks = np.unique(self._layout().position[nodes] // self._nodes_per_block)
+        pinned_below = self._pinned_below
+        lo, hi = self._first_leaf + slot_lo, self._first_leaf + slot_hi
+        self._node_max[lo:hi] = self.pma.keys[slot_lo:slot_hi]
+        blocks: set[int] = set()
+        if lo >= pinned_below:
+            blocks.update(self._blocks_of(lo, hi))
+        dirty = True
+        while lo > 0:
+            lo, hi = (lo - 1) >> 1, (((hi - 1) - 1) >> 1) + 1
+            if not dirty and lo < pinned_below:
+                break
+            if dirty:
+                dirty = self._repair_level(lo, hi)
+            if lo >= pinned_below:
+                blocks.update(self._blocks_of(lo, hi))
+        if not blocks:
+            return
         # Coalesce adjacent dirty blocks into sequential writes.
-        runs = np.split(blocks, np.flatnonzero(np.diff(blocks) > 1) + 1)
-        for run in runs:
-            self.device.write(
-                self._index_offset + int(run[0]) * self.config.block_bytes,
-                run.size * self.config.block_bytes,
-            )
+        block_bytes = self.config.block_bytes
+        ordered = sorted(blocks)
+        start = 0
+        for j in range(1, len(ordered) + 1):
+            if j == len(ordered) or ordered[j] != ordered[j - 1] + 1:
+                self.device.write(
+                    self._index_offset + ordered[start] * block_bytes,
+                    (j - start) * block_bytes,
+                )
+                start = j
 
     # -- search --------------------------------------------------------------
 
     def _search_path(self, key: int) -> list[int]:
         """Heap indices from the root to the leaf of ``key``'s successor slot
         (the last slot when the tree holds no key ``>= key``)."""
-        node_max = self._node_max
+        node_max = self._node_max.item
         path = []
         i = 0
         first_leaf = self._first_leaf
         while i < first_leaf:
             path.append(i)
             left = 2 * i + 1
-            i = left if key <= node_max[left] else left + 1
+            i = left if key <= node_max(left) else left + 1
         path.append(i)
         return path
 
@@ -286,7 +319,7 @@ class COBTree:
         path = self._search_path(key)
         self._charge_index_path(path)
         slot = self._slot_of(path)
-        if key not in self.values or bool(self.pma.keys[slot] != key):
+        if key not in self.values or self.pma.keys.item(slot) != key:
             raise TreeError(f"key {key} not present")
         self.user_bytes_modified += self.config.fmt.entry_bytes
         del self.values[key]
@@ -365,7 +398,7 @@ class COBTree:
         path = self._search_path(key)
         self._charge_index_path(path)
         slot = self._slot_of(path)
-        hit = bool(self.pma.keys[slot] == key)
+        hit = self.pma.keys.item(slot) == key
         if hit:
             self.pma.charge_slot_read(slot)
         if OBS.enabled:
@@ -385,19 +418,26 @@ class COBTree:
 
         One index descent to the start, then one sequential read of the
         slot span covering the answer — the PMA's gapped-but-sorted
-        layout is what makes ranges a single scan.
+        layout is what makes ranges a single scan.  A second, uncharged
+        descent for ``hi`` bounds the window: both land on successor
+        slots, so every key in ``[lo, hi]`` lies between them and the
+        host work is output-sensitive.
         """
         if lo > hi:
             return []
         path = self._search_path(int(lo))
         self._charge_index_path(path)
-        pk = self.pma.keys
-        mask = (pk != EMPTY) & (pk >= lo) & (pk <= hi)
-        slots = np.flatnonzero(mask)
+        s_lo = self._slot_of(path)
+        s_hi = self._slot_of(self._search_path(int(hi)))
+        window = self.pma.keys[s_lo : s_hi + 1]
+        slots = np.flatnonzero((window != EMPTY) & (window >= lo) & (window <= hi))
         if slots.size == 0:
             return []
-        self.pma._charge_span(int(slots[0]), int(slots[-1]) + 1, read=True, write=False)
-        return [(int(k), self.values[int(k)]) for k in pk[slots]]
+        self.pma._charge_span(
+            s_lo + int(slots[0]), s_lo + int(slots[-1]) + 1, read=True, write=False
+        )
+        values = self.values
+        return [(k, values[k]) for k in window[slots].tolist()]
 
     def items(self) -> Iterator[tuple[int, Any]]:
         """All pairs in key order."""

@@ -16,6 +16,12 @@ IO pricing:
   model bloom filters, so every level is probed — the paper's trees don't
   get filters either, keeping the comparison honest);
 * a range query reads the overlapping portion of every overlapping run.
+
+Host work on the read path is output-sensitive: deeper levels keep a
+min-key column per level that ``get`` and ``range`` bisect, and ``range``
+bisects a sorted index of the memtable's keys.  Writes never touch that
+index; ``range`` brings it up to date from the memtable's insertion
+order (new keys are always the last ones added), and a flush resets it.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from __future__ import annotations
 import bisect
 import heapq
 from dataclasses import dataclass
+from itertools import islice
 from typing import Any, Iterator
 
 from repro.errors import ConfigurationError, TreeError
@@ -76,7 +83,12 @@ class LSMTree:
         self.config = config or LSMConfig()
         self.allocator = allocator or ExtentAllocator(device.capacity_bytes, alignment=512)
         self.memtable: dict[int, Any] = {}
+        #: Sorted keys of the memtable's first ``len(_memtable_keys)``
+        #: insertions; synced lazily by :meth:`_sorted_memtable_keys`.
+        self._memtable_keys: list[int] = []
         self.levels: list[list[SSTable]] = [[]]   # levels[0] newest-first
+        #: Per level >= 1, the min keys of its (key-ordered) runs.
+        self._min_keys: list[list[int]] = [[]]
         self._next_table_id = 0
         self.user_bytes_modified = 0
         self.compactions = 0
@@ -122,6 +134,7 @@ class LSMTree:
             return
         pairs = sorted(self.memtable.items())
         self.memtable = {}
+        self._memtable_keys = []
         for run in self._cut_runs(pairs):
             self.levels[0].insert(0, run)  # newest first
             self._write_table(run)
@@ -171,6 +184,7 @@ class LSMTree:
         self.compactions += 1
         while len(self.levels) <= level + 1:
             self.levels.append([])
+            self._min_keys.append([])
         if level == 0:
             sources = list(self.levels[0])
             self.levels[0] = []
@@ -203,6 +217,9 @@ class LSMTree:
         # Deeper levels hold key-disjoint runs in key order.
         self.levels[level + 1].extend(out_runs)
         self.levels[level + 1].sort(key=lambda t: t.min_key)
+        for lvl in (level, level + 1):
+            if lvl:
+                self._min_keys[lvl] = [t.min_key for t in self.levels[lvl]]
 
     def _merge_runs(
         self, newer: list[SSTable], older: list[SSTable], *, drop_tombstones: bool
@@ -255,7 +272,7 @@ class LSMTree:
                     return None if v is TOMBSTONE else v
         for lvl in range(1, len(self.levels)):
             runs = self.levels[lvl]
-            idx = bisect.bisect_right([t.min_key for t in runs], key) - 1
+            idx = bisect.bisect_right(self._min_keys[lvl], key) - 1
             if 0 <= idx < len(runs) and runs[idx].overlaps(key, key):
                 v, found = self._probe(runs[idx], key)
                 if found:
@@ -272,7 +289,12 @@ class LSMTree:
         result: dict[int, Any] = {}
         # Apply from oldest to newest so newer writes win.
         for lvl in range(len(self.levels) - 1, 0, -1):
-            for t in self.levels[lvl]:
+            # Runs left of the last one starting at or before ``lo`` end
+            # before it; runs from the first one starting after ``hi`` on
+            # begin after the window.
+            mins = self._min_keys[lvl]
+            first = max(0, bisect.bisect_right(mins, lo) - 1)
+            for t in self.levels[lvl][first : bisect.bisect_right(mins, hi)]:
                 if t.overlaps(lo, hi):
                     self._read_overlap(t, lo, hi)
                     result.update(t.slice(lo, hi))
@@ -283,13 +305,31 @@ class LSMTree:
         for k in sorted(result):
             if lo <= k <= hi and result[k] is TOMBSTONE:
                 del result[k]
-        for k, v in self.memtable.items():
-            if lo <= k <= hi:
-                if v is TOMBSTONE:
-                    result.pop(k, None)
-                else:
-                    result[k] = v
+        keys = self._sorted_memtable_keys()
+        memtable = self.memtable
+        for k in keys[bisect.bisect_left(keys, lo) : bisect.bisect_right(keys, hi)]:
+            v = memtable[k]
+            if v is TOMBSTONE:
+                result.pop(k, None)
+            else:
+                result[k] = v
         return sorted(result.items())
+
+    def _sorted_memtable_keys(self) -> list[int]:
+        """The memtable's keys in order, synced from its insertion order.
+
+        Keys are never removed from a memtable (a delete writes a
+        tombstone), so the keys added since the last sync are exactly the
+        last ``len(memtable) - len(index)`` in insertion order.
+        """
+        keys = self._memtable_keys
+        fresh = len(self.memtable) - len(keys)
+        if fresh > len(keys):
+            keys = self._memtable_keys = sorted(self.memtable)
+        elif fresh:
+            for k in islice(reversed(self.memtable), fresh):
+                bisect.insort(keys, k)
+        return keys
 
     def _read_overlap(self, table: SSTable, lo: int, hi: int) -> None:
         """Charge reading the overlapping byte range of a run."""
@@ -320,6 +360,12 @@ class LSMTree:
                         f"level {lvl} runs overlap: [{a.min_key},{a.max_key}] vs "
                         f"[{b.min_key},{b.max_key}]"
                     )
+        for lvl in range(1, len(self.levels)):
+            if self._min_keys[lvl] != [t.min_key for t in self.levels[lvl]]:
+                raise TreeError(f"level {lvl} min-key column is stale")
+        synced = len(self._memtable_keys)
+        if self._memtable_keys != sorted(islice(self.memtable, synced)):
+            raise TreeError("memtable key index is stale")
         for lvl, runs in enumerate(self.levels):
             for t in runs:
                 if t.offset < 0 or t.nbytes <= 0:

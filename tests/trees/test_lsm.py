@@ -197,3 +197,28 @@ class TestRange:
         tree.insert(5, "new")
         tree.delete(7)
         assert dict(tree.range(0, 10)).get(5) == "new"
+
+    def test_read_indexes_track_writes_between_ranges(self):
+        # Ranges interleaved with inserts, overwrites, tombstones, flushes
+        # and compactions: the memtable key index and the per-level
+        # min-key columns must stay in step with what they index.
+        tree, _ = make(sstable_bytes=1 << 11)
+        rng = np.random.default_rng(5)
+        ref = {}
+        for step in range(1500):
+            key = int(rng.integers(0, 400))
+            if rng.random() < 0.2:
+                tree.delete(key)
+                ref.pop(key, None)
+            else:
+                tree.insert(key, step)
+                ref[key] = step
+            if step % 7 == 0:
+                lo = int(rng.integers(0, 400))
+                hi = lo + int(rng.integers(0, 60))
+                assert tree.range(lo, hi) == sorted(
+                    (k, v) for k, v in ref.items() if lo <= k <= hi
+                )
+                tree.check_invariants()
+        assert tree.compactions > 0
+        assert all(tree.get(k) == v for k, v in ref.items())

@@ -49,6 +49,29 @@ class TestStaticSearchTree:
         with pytest.raises(ConfigurationError):
             StaticSearchTree([1, 1])
 
+    def test_order_check_does_not_overflow(self):
+        # Neighbours more than 2^63 apart: their int64 difference wraps,
+        # so a diff-based check accepted this unsorted pair.
+        with pytest.raises(ConfigurationError):
+            StaticSearchTree([2**62 + 1, -(2**62) - 1])
+        tree = StaticSearchTree([-(2**62) - 1, 2**62 + 1])
+        assert tree.contains(-(2**62) - 1)
+        assert tree.contains(2**62 + 1)
+
+    @pytest.mark.parametrize("n_keys", [1, 2, 3, 7, 8, 99, 1000, 4097])
+    def test_node_keys_match_reference_loop(self, n_keys):
+        rng = np.random.default_rng(n_keys)
+        keys = np.sort(rng.choice(1 << 50, size=n_keys, replace=False)) - (1 << 49)
+        tree = StaticSearchTree(keys)
+        # Reference: one node at a time, bottom-up in heap order.
+        subtree_max = np.empty(tree.n_nodes, dtype=np.int64)
+        subtree_max[tree._first_leaf :] = tree._leaf_keys
+        expected = np.empty(tree._first_leaf, dtype=np.int64)
+        for i in range(tree._first_leaf - 1, -1, -1):
+            expected[i] = subtree_max[2 * i + 1]
+            subtree_max[i] = subtree_max[2 * i + 2]
+        assert np.array_equal(tree._node_key, expected)
+
     def test_non_power_of_two_padded(self):
         keys = np.arange(1, 100)  # 99 keys -> 128 leaves
         tree = StaticSearchTree(keys)
@@ -171,6 +194,34 @@ class TestVEBLayout:
     def test_bad_height(self):
         with pytest.raises(ConfigurationError):
             VEBLayout(0)
+
+    @pytest.mark.parametrize("height", range(1, 15))
+    def test_matches_recursive_builder(self, height):
+        # Reference: assign ranks node by node, top tree first, then each
+        # bottom tree left to right.
+        expected = np.empty((1 << height) - 1, dtype=np.int64)
+        next_rank = 0
+
+        def assign(root, h):
+            nonlocal next_rank
+            if h == 1:
+                expected[root] = next_rank
+                next_rank += 1
+                return
+            top_h = (h + 1) // 2
+            assign(root, top_h)
+            first = ((root + 1) << top_h) - 1
+            for sub_root in range(first, first + (1 << top_h)):
+                assign(sub_root, h - top_h)
+
+        assign(0, height)
+        assert np.array_equal(VEBLayout(height).position, expected)
+
+    def test_position_is_shared_and_read_only(self):
+        layout = VEBLayout(9)
+        assert layout.position is VEBLayout(9).position
+        with pytest.raises(ValueError):
+            layout.position[0] = 1
 
 
 class TestPDAMQuerySimulator:
