@@ -23,8 +23,11 @@ bench:
 perfbench:
 	python3 -m pytest perfbench/tests -q
 
-# Vectorized-engine gates: batch/serial byte-identity + speedup (smoke).
+# Vectorized-engine gates: batch/serial byte-identity, the device model
+# tests (HDD, affine/PDAM, SSD golden timeline) + speedup (smoke).
 engine-bench:
+	PYTHONPATH=src python -m pytest tests/storage/test_batch_identity.py tests/trees/test_put_many.py \
+		tests/storage/test_hdd.py tests/storage/test_ideal.py tests/storage/test_ssd.py -q
 	PYTHONPATH=src python benchmarks/bench_engine_vector.py --smoke
 
 experiments:

@@ -4,9 +4,9 @@ Three gates on the vectorized simulation engine rather than on the paper's
 quantities:
 
 1. **Batching is invisible** — every batched path (device ``read_batch`` /
-   ``write_batch``, the runner's ``service_batch`` dispatch, the trees'
-   ``put_many``) produces byte-identical results and accounting to its
-   serial loop, asserted with exact float equality.
+   ``write_batch``, the trees' ``put_many``) produces byte-identical
+   results and accounting to its serial loop, asserted with exact float
+   equality.
 2. **Batching does not lose** — each batched path is no slower than its
    serial-dispatch twin (relative gates only: CI hardware varies, identity
    and relative ordering do not).
@@ -31,10 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.runner.cache import CACHE_EPOCH
-from repro.storage.engine import ClosedLoopRunner
-from repro.storage.device import ReadRequest
 from repro.storage.hdd import HDDGeometry, SimulatedHDD
-from repro.storage.ssd import SimulatedSSD, SSDGeometry
 from repro.storage.stack import StorageStack
 from repro.trees.betree import BeTreeConfig, OptimizedBeTree
 from repro.trees.sizing import EntryFormat
@@ -99,28 +96,6 @@ def _device_batch(n_ios):
     batch_s = time.perf_counter() - start
     identical = got == expected and batch_dev.clock == serial_dev.clock
     return identical, serial_s, batch_s
-
-
-def _runner_batch(n_clients, n_requests):
-    """SSD closed loop, scalar vs service_batch dispatch."""
-    def streams():
-        return [
-            [ReadRequest((c * 11 + r) % 256 * 65536, 65536) for r in range(n_requests)]
-            for c in range(n_clients)
-        ]
-
-    scalar_dev = SimulatedSSD(SSDGeometry(capacity_bytes=1 << 30))
-    start = time.perf_counter()
-    scalar = ClosedLoopRunner(scalar_dev.service_request).run(streams())
-    scalar_s = time.perf_counter() - start
-    batch_dev = SimulatedSSD(SSDGeometry(capacity_bytes=1 << 30))
-    start = time.perf_counter()
-    batched = ClosedLoopRunner(
-        batch_dev.service_request, service_batch=batch_dev.service_request_batch
-    ).run(streams())
-    batch_s = time.perf_counter() - start
-    identical = batched == scalar and batch_dev.clock == scalar_dev.clock
-    return identical, scalar_s, batch_s
 
 
 def _tree_batch(n_pairs):
@@ -202,27 +177,17 @@ def _measure(smoke):
     calib_rounds += [_calibration() for _ in range(2)]
     calib = min(calib_rounds)
     dev_ok, dev_serial, dev_batch = _best_of(lambda: _device_batch(20_000 // scale))
-    # Runner workload shrinks less than the others in smoke mode (at ~2ms
-    # a side the no-lose comparison would be pure timer noise) and gets
-    # extra rounds: its margin is the thinnest of the three paths.
-    run_ok, run_serial, run_batch = _best_of(
-        lambda: _runner_batch(8, 600 // (4 if smoke else 1)), rounds=5
-    )
     tree_ok, tree_serial, tree_batch = _best_of(lambda: _tree_batch(40_000 // scale))
     return {
         "cache_epoch": CACHE_EPOCH,
         "device_identical": dev_ok,
-        "runner_identical": run_ok,
         "tree_identical": tree_ok,
         "e6_deterministic": e6_ok,
         "device_serial_s": dev_serial,
         "device_batch_s": dev_batch,
-        "runner_serial_s": run_serial,
-        "runner_batch_s": run_batch,
         "tree_serial_s": tree_serial,
         "tree_batch_s": tree_batch,
         "device_speedup": dev_serial / dev_batch if dev_batch else float("inf"),
-        "runner_speedup": run_serial / run_batch if run_batch else float("inf"),
         "tree_speedup": tree_serial / tree_batch if tree_batch else float("inf"),
         "e6_wall_s": e6_wall,
         "seed_e6_wall_s": SEED_E6_WALL_S,
@@ -241,16 +206,11 @@ def _measure(smoke):
 
 def _check(m, *, full):
     assert m["device_identical"], "device batch diverged from serial reads"
-    assert m["runner_identical"], "batched runner diverged from scalar dispatch"
     assert m["tree_identical"], "put_many accounting diverged from insert loop"
     assert m["e6_deterministic"], "E6 reruns diverged"
     # Relative no-lose gates: batching must never cost wall time.  The
-    # slack plus a 2ms floor absorbs scheduler/timer noise; the runner
-    # path gets more room because its dispatch win is breakeven-to-modest
-    # by design (the SSD completion math dominates either way, batching
-    # only removes the per-request heap/dispatch overhead), so on a noisy
-    # host a strict gate on it flips on drift rather than on regressions.
-    for path, slack in (("device", 1.05), ("runner", 1.15), ("tree", 1.05)):
+    # slack plus a 2ms floor absorbs scheduler/timer noise.
+    for path, slack in (("device", 1.05), ("tree", 1.05)):
         assert m[f"{path}_batch_s"] <= slack * m[f"{path}_serial_s"] + 0.002, (
             f"{path} batch path {m[f'{path}_batch_s']:.3f}s slower than "
             f"serial {m[f'{path}_serial_s']:.3f}s"
@@ -268,7 +228,6 @@ def bench_engine_vector(benchmark, show, tmp_path):
     m = benchmark.pedantic(lambda: _measure(True), rounds=1, iterations=1)
     show(
         f"engine vectorization: device batch {m['device_speedup']:.1f}x, "
-        f"runner batch {m['runner_speedup']:.2f}x, "
         f"put_many {m['tree_speedup']:.2f}x, "
         f"E6 smoke {m['e6_wall_s']:.2f}s (full-sweep seed baseline "
         f"{SEED_E6_WALL_S}s)"

@@ -39,7 +39,7 @@ from repro.faults.crash import CrashPlan, CrashState
 from repro.faults.plan import FaultPlan
 from repro.faults.policy import FaultStats, ResiliencePolicy
 from repro.obs import OBS
-from repro.storage.device import BlockDevice, IORecord
+from repro.storage.device import BlockDevice
 
 
 class FaultyDevice(BlockDevice):
@@ -298,68 +298,20 @@ class FaultyDevice(BlockDevice):
             and (kind == "write" or not self.policy.hedge_enabled)
         )
 
-    def read_batch(self, offsets, nbytes: int) -> list[float]:
-        """Batched reads; bit-identical to a serial loop of :meth:`read`.
+    def _service_times(self, kind: str, offsets: list[int], nbytes: int):
+        """The inner device's batch, when the fault pipeline is transparent.
 
-        When the fault pipeline is transparent (see
-        :meth:`_batch_is_transparent`), the inner device's own batch path
-        services the run and this wrapper does only its bookkeeping;
-        otherwise each IO runs the full per-IO pipeline so the plan's RNG
+        Then :meth:`_service` prices each IO at exactly ``at + base``, so
+        the inner batch's elapsed times are this wrapper's.  Otherwise
+        ``None``: each IO runs the full per-IO pipeline, so the plan's RNG
         stream advances exactly as a serial loop would.
         """
-        if not self._batch_is_transparent("read"):
-            return super().read_batch(offsets, nbytes)
-        offs = [int(o) for o in offsets]
-        for off in offs:
-            self._check(off, nbytes)
-        bases = self.inner.read_batch(offs, nbytes)
-        stats = self.stats
-        out: list[float] = []
-        for off, base in zip(offs, bases):
-            self._io_ordinal += 1
-            start = self.clock
-            end = start + base
-            elapsed = end - start
-            self.clock = end
-            stats.reads += 1
-            stats.bytes_read += nbytes
-            stats.read_seconds += elapsed
-            if self._trace_enabled:
-                self.trace.append(IORecord("read", off, nbytes, start, end))
-            if self.sampler is not None:
-                self.sampler.record(nbytes, elapsed, "read")
-            if OBS.enabled:
-                self._obs_io("read", off, nbytes, start, end)
-            out.append(elapsed)
-        return out
-
-    def write_batch(self, offsets, nbytes: int) -> list[float]:
-        """Batched writes; bit-identical to a serial loop of :meth:`write`."""
-        if not self._batch_is_transparent("write"):
-            return super().write_batch(offsets, nbytes)
-        offs = [int(o) for o in offsets]
-        for off in offs:
-            self._check(off, nbytes)
-        bases = self.inner.write_batch(offs, nbytes)
-        stats = self.stats
-        out: list[float] = []
-        for off, base in zip(offs, bases):
-            self._io_ordinal += 1
-            start = self.clock
-            end = start + base
-            elapsed = end - start
-            self.clock = end
-            stats.writes += 1
-            stats.bytes_written += nbytes
-            stats.write_seconds += elapsed
-            if self._trace_enabled:
-                self.trace.append(IORecord("write", off, nbytes, start, end))
-            if self.sampler is not None:
-                self.sampler.record(nbytes, elapsed, "write")
-            if OBS.enabled:
-                self._obs_io("write", off, nbytes, start, end)
-            out.append(elapsed)
-        return out
+        if not self._batch_is_transparent(kind):
+            return None
+        inner_batch = self.inner.read_batch if kind == "read" else self.inner.write_batch
+        bases = inner_batch(offsets, nbytes)
+        self._io_ordinal += len(offsets)
+        return bases, 0.0, None
 
     # -- identity and lifecycle ----------------------------------------------
 

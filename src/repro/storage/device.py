@@ -23,6 +23,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Sequence
 
 from repro.errors import InvalidIOError
@@ -140,9 +141,11 @@ class DeviceStats:
 class BlockDevice(ABC):
     """A device that prices IOs in simulated seconds.
 
-    Subclasses implement :meth:`_service_read` and :meth:`_service_write`
-    (pure timing); this base class validates requests, keeps the clock and
-    the counters, and optionally records a trace.
+    Subclasses supply timing only: :meth:`_service_read` and
+    :meth:`_service_write` price one IO, and the optional
+    :meth:`_service_times` prices a homogeneous batch.  This base class
+    owns the one commit path: it validates requests, keeps the clock and
+    the counters, and records the trace, samples and OBS events.
     """
 
     def __init__(self, capacity_bytes: int, *, trace: bool = False) -> None:
@@ -185,76 +188,132 @@ class BlockDevice(ABC):
 
     def read(self, offset: int, nbytes: int) -> float:
         """Serially read ``nbytes`` at ``offset``; returns elapsed seconds."""
-        self._check(offset, nbytes)
-        start = self.clock
-        end = self._service_read(offset, nbytes, start)
-        elapsed = end - start
-        self.clock = end
-        self.stats.reads += 1
-        self.stats.bytes_read += nbytes
-        self.stats.read_seconds += elapsed
-        if self._trace_enabled:
-            self.trace.append(IORecord("read", offset, nbytes, start, end))
-        if self.sampler is not None:
-            self.sampler.record(nbytes, elapsed, "read")
-        if OBS.enabled:
-            self._obs_io("read", offset, nbytes, start, end)
-        return elapsed
+        return self._io("read", offset, nbytes)
 
     def write(self, offset: int, nbytes: int) -> float:
         """Serially write ``nbytes`` at ``offset``; returns elapsed seconds."""
+        return self._io("write", offset, nbytes)
+
+    def _io(self, kind: str, offset: int, nbytes: int) -> float:
+        """Price one IO with the model's scalar hook, then book it."""
         self._check(offset, nbytes)
         start = self.clock
-        end = self._service_write(offset, nbytes, start)
+        if kind == "read":
+            end = self._service_read(offset, nbytes, start)
+        else:
+            end = self._service_write(offset, nbytes, start)
         elapsed = end - start
         self.clock = end
-        self.stats.writes += 1
-        self.stats.bytes_written += nbytes
-        self.stats.write_seconds += elapsed
+        stats = self.stats
+        if kind == "read":
+            stats.reads += 1
+            stats.bytes_read += nbytes
+            stats.read_seconds += elapsed
+        else:
+            stats.writes += 1
+            stats.bytes_written += nbytes
+            stats.write_seconds += elapsed
         if self._trace_enabled:
-            self.trace.append(IORecord("write", offset, nbytes, start, end))
+            self.trace.append(IORecord(kind, offset, nbytes, start, end))
         if self.sampler is not None:
-            self.sampler.record(nbytes, elapsed, "write")
+            self.sampler.record(nbytes, elapsed, kind)
         if OBS.enabled:
-            self._obs_io("write", offset, nbytes, start, end)
+            self._obs_io(kind, offset, nbytes, start, end)
         return elapsed
 
     def _obs_io(self, kind: str, offset: int, nbytes: int, start: float, end: float) -> None:
         """Publish one completed IO to the observability layer.
 
-        Only called under the ``if OBS.enabled:`` guards in :meth:`read`
-        and :meth:`write`, so the call below needs no guard of its own.
+        Only called under the ``if OBS.enabled:`` guard in :meth:`_io`, so
+        the call below needs no guard of its own.
         """
-        OBS.io_event(  # repro-lint: ignore[OBS001] (guarded at both call sites)
+        OBS.io_event(  # repro-lint: ignore[OBS001] (guarded at the call site)
             type(self).__name__, kind, offset, nbytes, start, end, self._obs_setup
         )
         self._obs_setup = None
+
+    def _service_times(
+        self, kind: str, offsets: list[int], nbytes: int
+    ) -> "tuple[Sequence[float], float, Sequence[float] | None] | None":
+        """Optional vectorized timing hook for a validated, non-empty batch.
+
+        Returns ``(firsts, second, setups)``: IO ``i`` ends at
+        ``start + firsts[i] + second``, where ``start`` is the previous
+        IO's end (HDD keeps its serial ``at + setup + transfer`` order
+        this way; models with one addend pass ``second = 0.0``), and
+        ``setups`` holds the per-IO setup seconds for the observability
+        layer, or ``None``.  The hook advances the model's own state
+        (head position, RNG stream, step counters) exactly as the serial
+        hooks would.  ``None`` (the default) makes the batch run the
+        scalar path once per IO.
+        """
+        return None
 
     def read_batch(self, offsets: "Sequence[int]", nbytes: int) -> list[float]:
         """Serially read ``nbytes`` at each offset; per-IO elapsed seconds.
 
         Semantically identical to calling :meth:`read` once per offset, in
-        order — same clock advance, same counters, same trace, same RNG
-        stream on stochastic devices.  Subclasses override it to vectorize
-        the homogeneous-size timing math (the probe and E3 hot path) while
-        preserving that bit-for-bit equivalence.  Offsets are validated up
-        front, so an invalid batch raises before any IO is charged.
+        order — same clock advance, counters, trace, samples, OBS events
+        and RNG stream.  Offsets are validated up front, so an invalid
+        batch raises before any IO is charged.
         """
-        for offset in offsets:
-            self._check(offset, nbytes)
-        return [self.read(offset, nbytes) for offset in offsets]
+        return self._io_batch("read", offsets, nbytes)
 
     def write_batch(self, offsets: "Sequence[int]", nbytes: int) -> list[float]:
         """Serially write ``nbytes`` at each offset; per-IO elapsed seconds.
 
         The write-side twin of :meth:`read_batch`: bit-identical to a
-        serial loop of :meth:`write` — same clock advance, counters,
-        trace, and RNG stream — with offsets validated up front so an
-        invalid batch raises before any IO is charged.
+        serial loop of :meth:`write`.
         """
-        for offset in offsets:
-            self._check(offset, nbytes)
-        return [self.write(offset, nbytes) for offset in offsets]
+        return self._io_batch("write", offsets, nbytes)
+
+    def _io_batch(self, kind: str, offsets: "Sequence[int]", nbytes: int) -> list[float]:
+        """Book a homogeneous batch from :meth:`_service_times`.
+
+        Per IO this runs :meth:`_io`'s bookkeeping in the same float
+        order: the clock chains, and seconds accumulate one IO at a time;
+        the integer counters are added once.
+        """
+        offs = [int(o) for o in offsets]
+        for off in offs:
+            self._check(off, nbytes)
+        times = self._service_times(kind, offs, nbytes) if offs else None
+        if times is None:
+            return [self._io(kind, off, nbytes) for off in offs]
+        firsts, second, setups = times
+        stats = self.stats
+        trace = self.trace if self._trace_enabled else None
+        sampler = self.sampler
+        name = type(self).__name__
+        reading = kind == "read"
+        seconds = stats.read_seconds if reading else stats.write_seconds
+        start = self.clock
+        out: list[float] = []
+        for off, first, setup in zip(
+            offs, firsts, repeat(None) if setups is None else setups
+        ):
+            end = start + first + second
+            elapsed = end - start
+            seconds += elapsed
+            if trace is not None:
+                trace.append(IORecord(kind, off, nbytes, start, end))
+            if sampler is not None:
+                sampler.record(nbytes, elapsed, kind)
+            if OBS.enabled:
+                OBS.io_event(name, kind, off, nbytes, start, end, setup)
+            out.append(elapsed)
+            start = end
+        self.clock = start
+        n = len(offs)
+        if reading:
+            stats.reads += n
+            stats.bytes_read += n * nbytes
+            stats.read_seconds = seconds
+        else:
+            stats.writes += n
+            stats.bytes_written += n * nbytes
+            stats.write_seconds = seconds
+        return out
 
     def describe(self) -> dict[str, object]:
         """Stable, JSON-able identity of this device's timing behavior.

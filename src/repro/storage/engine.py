@@ -233,15 +233,6 @@ class ClosedLoopRunner:
     service:
         ``service(request, issue_time) -> completion_time``.  Must only make
         forward-in-time reservations (all provided devices do).
-    service_batch:
-        Optional ``service_batch(requests, issue_time) -> [completion_time]``
-        servicing a *run* of requests that share one issue time, processed
-        in list order.  When given (and no policy is attached and
-        observability is off), the heap schedule dispatches each run of
-        tied events with one call instead of one Python call per request —
-        the event order, and therefore every timing, is identical to the
-        scalar path because heap ties pop in client-index order, which is
-        exactly the batch's list order.
     policy:
         Optional :class:`~repro.faults.policy.ResiliencePolicy`.  With one
         attached, a service call that raises
@@ -258,10 +249,8 @@ class ClosedLoopRunner:
         *,
         single_server: bool = False,
         policy: "ResiliencePolicy | None" = None,
-        service_batch: "Callable[[list, float], Sequence[float]] | None" = None,
     ) -> None:
         self._service = service
-        self._service_batch = service_batch
         self._single_server = bool(single_server)
         self._policy = None if policy is None or policy.is_noop else policy
         self.retries = 0
@@ -333,14 +322,6 @@ class ClosedLoopRunner:
         self, client_streams: Sequence[Iterator[object]], start_time: float
     ) -> list[float]:
         service = self._resolve_service()
-        # Batch dispatch changes neither event order nor arithmetic, but it
-        # would change the per-request OBS gauge sequence, so the scalar
-        # path stays authoritative whenever observability is recording.
-        service_batch = (
-            self._service_batch
-            if self._policy is None and not OBS.enabled
-            else None
-        )
         iterators = [iter(s) for s in client_streams]
         finish = [start_time] * len(iterators)
         heap: list[tuple[float, int]] = []
@@ -348,31 +329,6 @@ class ClosedLoopRunner:
             heapq.heappush(heap, (start_time, idx))
         while heap:
             issue_time, idx = heapq.heappop(heap)
-            if service_batch is not None and heap and heap[0][0] == issue_time:
-                # A run of tied events: pop them all (ties pop in client
-                # index order) and service them with one batched call.
-                batch = [idx]
-                while heap and heap[0][0] == issue_time:
-                    batch.append(heapq.heappop(heap)[1])
-                live: list[int] = []
-                requests: list[object] = []
-                for i in batch:
-                    try:
-                        requests.append(next(iterators[i]))
-                        live.append(i)
-                    except StopIteration:
-                        finish[i] = issue_time
-                if not requests:
-                    continue
-                dones = service_batch(requests, issue_time)
-                for i, done in zip(live, dones):
-                    if done < issue_time:
-                        raise ConfigurationError(
-                            f"service completed before issue ({done} < {issue_time}); "
-                            "service functions must be forward-in-time"
-                        )
-                    heapq.heappush(heap, (done, i))
-                continue
             try:
                 request = next(iterators[idx])
             except StopIteration:

@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.obs import OBS
-from repro.storage.device import BlockDevice, IORecord
+from repro.storage.device import BlockDevice
 
 
 @dataclass(frozen=True)
@@ -147,36 +147,26 @@ class SimulatedHDD(BlockDevice):
         # Writes pay the same mechanical costs as reads on a hard disk.
         return self._service(offset, nbytes, at)
 
-    def read_batch(self, offsets, nbytes: int) -> list[float]:
-        """Vectorized homogeneous read batch, bit-identical to serial reads.
+    def _service_times(self, kind: str, offsets: list[int], nbytes: int):
+        """Batch timing with the mechanical math evaluated in numpy.
 
-        The mechanical math (seek distances, square-root curve, rotational
-        draws) is evaluated with numpy across the whole batch; only the
-        per-IO clock/stat/trace bookkeeping stays in Python, in the exact
-        float-operation order of :meth:`BlockDevice.read`, so the returned
-        timings — and the RNG stream position afterwards — match a serial
-        loop bit for bit.  Rotational delays are drawn only for the
-        non-sequential IOs, mirroring :meth:`_seek_seconds` which does not
-        touch the RNG on a sequential hit.
+        Seek distances and the square-root curve run across the whole
+        batch; rotational delays are drawn only for the non-sequential
+        IOs, mirroring :meth:`_seek_seconds`, which does not touch the RNG
+        on a sequential hit.  Reads and writes cost the same.
         """
-        offs = [int(o) for o in offsets]
-        if not offs:
-            return []
-        for off in offs:
-            self._check(off, nbytes)
         g = self.geometry
-        arr = np.asarray(offs, dtype=np.int64)
+        arr = np.asarray(offsets, dtype=np.int64)
         # Head position each IO sees: the entry position for the first,
         # then the end of the preceding IO.
-        prev = np.empty(len(offs), dtype=np.int64)
+        prev = np.empty(len(offsets), dtype=np.int64)
         prev[0] = self.head_position
-        if len(offs) > 1:
-            prev[1:] = arr[:-1] + nbytes
+        prev[1:] = arr[:-1] + nbytes
         if self.sequential_detection:
             nonseq = arr != prev
         else:
-            nonseq = np.ones(len(offs), dtype=bool)
-        setup = np.zeros(len(offs), dtype=np.float64)
+            nonseq = np.ones(len(offsets), dtype=bool)
+        setup = np.zeros(len(offsets), dtype=np.float64)
         n_nonseq = int(np.count_nonzero(nonseq))
         if n_nonseq:
             frac = np.abs(arr[nonseq] - prev[nonseq]) / g.capacity_bytes
@@ -185,85 +175,9 @@ class SimulatedHDD(BlockDevice):
             ) * np.sqrt(frac)
             rotation = self._rng.uniform(0.0, g.rotation_seconds, size=n_nonseq)
             setup[nonseq] = seek + rotation
-        transfer = nbytes * g.seconds_per_byte
-        stats = self.stats
-        out: list[float] = []
-        for i, off in enumerate(offs):
-            start = self.clock
-            end = start + float(setup[i]) + transfer
-            elapsed = end - start
-            self.clock = end
-            stats.reads += 1
-            stats.bytes_read += nbytes
-            stats.read_seconds += elapsed
-            if self._trace_enabled:
-                self.trace.append(IORecord("read", off, nbytes, start, end))
-            if self.sampler is not None:
-                self.sampler.record(nbytes, elapsed, "read")
-            if OBS.enabled:
-                OBS.io_event(
-                    type(self).__name__, "read", off, nbytes, start, end,
-                    float(setup[i]),
-                )
-            out.append(elapsed)
-        self.head_position = offs[-1] + nbytes
-        return out
-
-    def write_batch(self, offsets, nbytes: int) -> list[float]:
-        """Vectorized homogeneous write batch; twin of :meth:`read_batch`.
-
-        Writes pay the same mechanical costs as reads on a hard disk, so
-        the timing math is identical — only the counters and trace records
-        differ.  The RNG stream position afterwards matches a serial loop
-        of :meth:`BlockDevice.write` exactly.
-        """
-        offs = [int(o) for o in offsets]
-        if not offs:
-            return []
-        for off in offs:
-            self._check(off, nbytes)
-        g = self.geometry
-        arr = np.asarray(offs, dtype=np.int64)
-        prev = np.empty(len(offs), dtype=np.int64)
-        prev[0] = self.head_position
-        if len(offs) > 1:
-            prev[1:] = arr[:-1] + nbytes
-        if self.sequential_detection:
-            nonseq = arr != prev
-        else:
-            nonseq = np.ones(len(offs), dtype=bool)
-        setup = np.zeros(len(offs), dtype=np.float64)
-        n_nonseq = int(np.count_nonzero(nonseq))
-        if n_nonseq:
-            frac = np.abs(arr[nonseq] - prev[nonseq]) / g.capacity_bytes
-            seek = g.track_to_track_seek_seconds + (
-                g.full_stroke_seek_seconds - g.track_to_track_seek_seconds
-            ) * np.sqrt(frac)
-            rotation = self._rng.uniform(0.0, g.rotation_seconds, size=n_nonseq)
-            setup[nonseq] = seek + rotation
-        transfer = nbytes * g.seconds_per_byte
-        stats = self.stats
-        out: list[float] = []
-        for i, off in enumerate(offs):
-            start = self.clock
-            end = start + float(setup[i]) + transfer
-            elapsed = end - start
-            self.clock = end
-            stats.writes += 1
-            stats.bytes_written += nbytes
-            stats.write_seconds += elapsed
-            if self._trace_enabled:
-                self.trace.append(IORecord("write", off, nbytes, start, end))
-            if self.sampler is not None:
-                self.sampler.record(nbytes, elapsed, "write")
-            if OBS.enabled:
-                OBS.io_event(
-                    type(self).__name__, "write", off, nbytes, start, end,
-                    float(setup[i]),
-                )
-            out.append(elapsed)
-        self.head_position = offs[-1] + nbytes
-        return out
+        self.head_position = offsets[-1] + nbytes
+        setups = setup.tolist()
+        return setups, nbytes * g.seconds_per_byte, setups
 
     def describe(self) -> dict[str, object]:
         d = super().describe()

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.obs import OBS
-from repro.storage.device import BlockDevice, IORecord, ReadRequest, WriteRequest
+from repro.storage.device import BlockDevice, ReadRequest, WriteRequest
 from repro.storage.engine import ClosedLoopRunner, ResourcePool
 
 
@@ -102,7 +102,9 @@ class SimulatedSSD(BlockDevice):
     The serial :meth:`~repro.storage.device.BlockDevice.read` /
     :meth:`~repro.storage.device.BlockDevice.write` API routes through the
     same resource model as the parallel closed-loop API, so tree workloads
-    and microbenchmarks see consistent timing.
+    and microbenchmarks see consistent timing.  There is no batch timing
+    hook: a page's completion depends on its issue time, so batches run
+    the scalar path once per IO.
     """
 
     def __init__(self, geometry: SSDGeometry | None = None, *, trace: bool = False) -> None:
@@ -258,127 +260,18 @@ class SimulatedSSD(BlockDevice):
             )
         return end
 
-    def service_request_batch(self, requests, at: float) -> list[float]:
-        """Service a run of requests all issued at ``at``, in list order.
-
-        Bit-identical to calling :meth:`service_request` once per request —
-        the same dispatch, counters and clock updates run per request, with
-        the attribute lookups hoisted out of the loop.  This is the
-        ``service_batch`` hook :class:`ClosedLoopRunner` dispatches runs of
-        tied events through.
-        """
-        stats = self.stats
-        check = self._check
-        read_completion = self._read_completion
-        write_completion = self._write_completion
-        clock = self.clock
-        obs_on = OBS.enabled
-        out: list[float] = []
-        append = out.append
-        # The clock runs in a local and is written back on every exit path
-        # (including a mid-batch validation error), so an aborted batch
-        # leaves exactly the state a serial loop's partial progress would.
-        try:
-            for request in requests:
-                if isinstance(request, ReadRequest):
-                    check(request.offset, request.nbytes)
-                    end = read_completion(request.offset, request.nbytes, at)
-                    stats.reads += 1
-                    stats.bytes_read += request.nbytes
-                    stats.read_seconds += end - at
-                    kind = "read"
-                elif isinstance(request, WriteRequest):
-                    check(request.offset, request.nbytes)
-                    end = write_completion(request.offset, request.nbytes, at)
-                    stats.writes += 1
-                    stats.bytes_written += request.nbytes
-                    stats.write_seconds += end - at
-                    kind = "write"
-                else:
-                    raise ConfigurationError(
-                        f"unknown request type: {type(request).__name__}"
-                    )
-                if end > clock:
-                    clock = end
-                if obs_on:
-                    OBS.io_event(
-                        type(self).__name__, kind,
-                        request.offset, request.nbytes, at, end,
-                    )
-                append(end)
-        finally:
-            self.clock = clock
-        return out
-
     def run_closed_loop(self, client_streams) -> float:
         """Run concurrent closed-loop clients; returns the makespan.
 
         This is the simulated analogue of the paper's "spawn p threads, each
         reads 10 GiB" benchmark: each client keeps one request outstanding.
         A single-die device is one FIFO resource end to end, so it takes the
-        runner's heap-free fast path; multi-die devices hand runs of tied
-        arrivals to :meth:`service_request_batch` in one dispatch.
+        runner's heap-free fast path.
         """
         runner = ClosedLoopRunner(
-            self.service_request,
-            single_server=self.geometry.total_dies == 1,
-            service_batch=self.service_request_batch,
+            self.service_request, single_server=self.geometry.total_dies == 1
         )
         return runner.run_makespan(client_streams)
-
-    def read_batch(self, offsets, nbytes: int) -> list[float]:
-        """Batched serial reads; bit-identical to a loop of :meth:`read`.
-
-        Offsets are validated up front, then the per-IO bookkeeping runs in
-        one loop frame with the completion method bound once.
-        """
-        offs = [int(o) for o in offsets]
-        for off in offs:
-            self._check(off, nbytes)
-        stats = self.stats
-        completion = self._read_completion
-        out: list[float] = []
-        for off in offs:
-            start = self.clock
-            end = completion(off, nbytes, start)
-            elapsed = end - start
-            self.clock = end
-            stats.reads += 1
-            stats.bytes_read += nbytes
-            stats.read_seconds += elapsed
-            if self._trace_enabled:
-                self.trace.append(IORecord("read", off, nbytes, start, end))
-            if self.sampler is not None:
-                self.sampler.record(nbytes, elapsed, "read")
-            if OBS.enabled:
-                self._obs_io("read", off, nbytes, start, end)
-            out.append(elapsed)
-        return out
-
-    def write_batch(self, offsets, nbytes: int) -> list[float]:
-        """Batched serial writes; bit-identical to a loop of :meth:`write`."""
-        offs = [int(o) for o in offsets]
-        for off in offs:
-            self._check(off, nbytes)
-        stats = self.stats
-        completion = self._write_completion
-        out: list[float] = []
-        for off in offs:
-            start = self.clock
-            end = completion(off, nbytes, start)
-            elapsed = end - start
-            self.clock = end
-            stats.writes += 1
-            stats.bytes_written += nbytes
-            stats.write_seconds += elapsed
-            if self._trace_enabled:
-                self.trace.append(IORecord("write", off, nbytes, start, end))
-            if self.sampler is not None:
-                self.sampler.record(nbytes, elapsed, "write")
-            if OBS.enabled:
-                self._obs_io("write", off, nbytes, start, end)
-            out.append(elapsed)
-        return out
 
     def describe(self) -> dict[str, object]:
         d = super().describe()

@@ -2,8 +2,8 @@
 
 The batched IO contract (docs/architecture.md): ``read_batch`` /
 ``write_batch`` are *semantically invisible* — clock, stats, trace,
-sampler, and RNG stream position must match a serial loop of ``read`` /
-``write`` bit for bit.  These tests enforce that with exact float
+sampler, OBS events and RNG stream position must match a serial loop of
+``read`` / ``write`` bit for bit.  These tests enforce that with exact float
 equality (no ``approx``) on every device the experiments use, plus the
 fault wrapper in both its transparent and perturbed configurations, and
 with observability both off and on.
@@ -27,58 +27,91 @@ from repro.storage.ssd import SimulatedSSD, SSDGeometry
 
 OFFSETS = [512, 1 << 20, 4096, 2 << 20, 4096 + 65536, 1 << 24]
 NBYTES = 4096
+#: Back-to-back batches the identity tests run on one device pair: the
+#: random mix, a sequential run (HDD's no-draw path, affine's setup
+#: waiver on both directions), and a multi-block size (PDAM wastes slots).
+CASES = [
+    (OFFSETS, NBYTES),
+    ([1 << 20, (1 << 20) + 4096, (1 << 20) + 8192, 512], NBYTES),
+    (OFFSETS, 3 * NBYTES),
+]
 
 
-def affine():
+def affine(trace=False):
     return AffineDevice(
         AffineModel(alpha=2.5e-6, setup_seconds=0.004),
         capacity_bytes=1 << 30,
         sequential_detection=True,
         write_multiplier=2.5,
+        trace=trace,
     )
 
 
-def pdam():
+def pdam(trace=False):
     return PDAMDevice(
         PDAMModel(block_bytes=4096, parallelism=4, step_seconds=1e-4),
         capacity_bytes=1 << 30,
+        trace=trace,
     )
 
 
-def hdd(seed=3):
-    return SimulatedHDD(HDDGeometry(capacity_bytes=1 << 30), seed=seed)
+def hdd(seed=3, trace=False):
+    return SimulatedHDD(HDDGeometry(capacity_bytes=1 << 30), seed=seed, trace=trace)
 
 
-def ssd():
-    return SimulatedSSD(SSDGeometry(capacity_bytes=1 << 30))
+def ssd(trace=False):
+    return SimulatedSSD(SSDGeometry(capacity_bytes=1 << 30), trace=trace)
 
 
-def faulty_transparent():
-    return FaultyDevice(hdd(seed=7), FaultPlan(seed=11))
+def constant(trace=False):
+    return ConstantLatencyDevice(0.002, capacity_bytes=1 << 30, trace=trace)
 
 
-def faulty_perturbed():
+def faulty_transparent(trace=False):
+    return FaultyDevice(hdd(seed=7, trace=trace), FaultPlan(seed=11), trace=trace)
+
+
+def faulty_perturbed(trace=False):
     return FaultyDevice(
-        hdd(seed=7),
+        hdd(seed=7, trace=trace),
         FaultPlan(seed=11, spike_prob=0.5, spike_seconds=0.01, error_prob=0.2),
         policy=ResiliencePolicy.retry(max_retries=4, timeout_seconds=10.0),
+        trace=trace,
     )
+
+
+def _observed(make):
+    """``make`` built with tracing and passive sampling on, inner too."""
+
+    def build():
+        dev = make(trace=True)
+        dev.enable_sampling()
+        if isinstance(dev, FaultyDevice):
+            dev.inner.enable_sampling()
+        return dev
+
+    return build
 
 
 DEVICES = {
-    "constant": lambda: ConstantLatencyDevice(0.002, capacity_bytes=1 << 30),
-    "affine": affine,
-    "pdam": pdam,
-    "hdd": hdd,
-    "ssd": ssd,
-    "faulty-transparent": faulty_transparent,
-    "faulty-perturbed": faulty_perturbed,
+    "constant": _observed(constant),
+    "affine": _observed(affine),
+    "pdam": _observed(pdam),
+    "hdd": _observed(hdd),
+    "ssd": _observed(ssd),
+    "faulty-transparent": _observed(faulty_transparent),
+    "faulty-perturbed": _observed(faulty_perturbed),
 }
 
 
 def _state(dev):
     """Everything a batch must leave bit-identical to the serial loop."""
-    state = {"clock": dev.clock, "stats": vars(dev.stats).copy()}
+    state = {
+        "clock": dev.clock,
+        "stats": vars(dev.stats).copy(),
+        "trace": list(dev.trace),
+        "samples": dev.sampler.samples() if dev.sampler is not None else None,
+    }
     if isinstance(dev, SimulatedHDD):
         state["head"] = dev.head_position
         # One more draw exposes any RNG stream divergence.
@@ -95,13 +128,23 @@ def _state(dev):
     return state
 
 
+def _serial_vs_batch(name, direction):
+    """Run every case serially on one device and batched on a twin.
+
+    Returns ``(ref, dev, expected, got)`` with per-case elapsed lists.
+    """
+    ref, dev = DEVICES[name](), DEVICES[name]()
+    op = getattr(ref, direction)
+    batch = getattr(dev, f"{direction}_batch")
+    expected = [[op(off, nbytes) for off in offsets] for offsets, nbytes in CASES]
+    got = [batch(offsets, nbytes) for offsets, nbytes in CASES]
+    return ref, dev, expected, got
+
+
 @pytest.mark.parametrize("name", DEVICES)
 @pytest.mark.parametrize("direction", ["read", "write"])
 def test_batch_identical_to_serial_loop(name, direction):
-    ref, dev = DEVICES[name](), DEVICES[name]()
-    op = getattr(ref, direction)
-    expected = [op(off, NBYTES) for off in OFFSETS]
-    got = getattr(dev, f"{direction}_batch")(OFFSETS, NBYTES)
+    ref, dev, expected, got = _serial_vs_batch(name, direction)
     assert got == expected  # exact float equality, not approx
     assert _state(dev) == _state(ref)
 
@@ -109,10 +152,41 @@ def test_batch_identical_to_serial_loop(name, direction):
 @pytest.mark.parametrize("name", DEVICES)
 def test_batch_identical_under_observability(name, monkeypatch):
     monkeypatch.setattr(OBS, "enabled", True)
-    ref, dev = DEVICES[name](), DEVICES[name]()
-    expected = [ref.read(off, NBYTES) for off in OFFSETS]
-    assert dev.read_batch(OFFSETS, NBYTES) == expected
+    ref, dev, expected, got = _serial_vs_batch(name, "read")
+    assert got == expected
     assert _state(dev) == _state(ref)
+
+
+@pytest.mark.parametrize("name", DEVICES)
+@pytest.mark.parametrize("direction", ["read", "write"])
+def test_batch_obs_events_match_serial_loop(name, direction, monkeypatch):
+    # Every OBS.io_event argument, setup seconds included, per emitting
+    # device in order.  The transparent fault wrapper's inner batch runs
+    # before the wrapper books its IOs, so only the global interleaving
+    # of wrapper and inner events differs from the serial loop.
+    events = []
+
+    def record(device, kind, offset, nbytes, start, end, setup_seconds=None):
+        events.append((device, kind, offset, nbytes, start, end, setup_seconds))
+
+    def by_device():
+        grouped = {}
+        for event in events:
+            grouped.setdefault(event[0], []).append(event)
+        events.clear()
+        return grouped
+
+    monkeypatch.setattr(OBS, "enabled", True)
+    monkeypatch.setattr(OBS, "io_event", record)
+    ref, dev = DEVICES[name](), DEVICES[name]()
+    for offsets, nbytes in CASES:
+        for off in offsets:
+            getattr(ref, direction)(off, nbytes)
+    serial = by_device()
+    for offsets, nbytes in CASES:
+        getattr(dev, f"{direction}_batch")(offsets, nbytes)
+    assert by_device() == serial
+    assert serial  # the recorder saw the IOs
 
 
 @pytest.mark.parametrize("name", DEVICES)
@@ -294,28 +368,15 @@ class TestBatchedRunner:
             for c in range(n_clients)
         ]
 
-    def test_batched_dispatch_matches_scalar(self):
-        streams = self._streams(6, 40)
-        scalar_dev, batch_dev = ssd(), ssd()
-        scalar = ClosedLoopRunner(
-            scalar_dev.service_request,
-        ).run(streams)
-        batched = ClosedLoopRunner(
-            batch_dev.service_request,
-            service_batch=batch_dev.service_request_batch,
-        ).run(streams)
-        assert batched == scalar  # exact float equality
-        assert _state(batch_dev) == _state(scalar_dev)
-
-    def test_run_closed_loop_uses_batch_path(self):
-        scalar_dev, batch_dev = ssd(), ssd()
+    def test_run_closed_loop_matches_scalar_runner(self):
+        scalar_dev, dev = ssd(), ssd()
         streams = self._streams(4, 30)
         scalar = ClosedLoopRunner(scalar_dev.service_request).run_makespan(streams)
-        assert batch_dev.run_closed_loop(streams) == scalar
+        assert dev.run_closed_loop(streams) == scalar
+        assert _state(dev) == _state(scalar_dev)
 
     def test_batch_path_disabled_under_observability(self, monkeypatch):
-        # The scalar path stays authoritative when OBS is recording; the
-        # makespan must not change either way.
+        # Recording OBS events must not change the makespan.
         streams = self._streams(4, 10)
         plain = ssd().run_closed_loop(streams)
         monkeypatch.setattr(OBS, "enabled", True)

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import ConfigurationError, InvalidIOError
 from repro.models.affine import AffineModel
 from repro.models.pdam import PDAMModel
+from repro.storage.device import DeviceStats
 from repro.storage.ideal import AffineDevice, PDAMDevice
 
 
@@ -72,6 +73,20 @@ class TestPDAMDevice:
         dev = self.make()
         with pytest.raises(InvalidIOError):
             dev.serve_step([100])
+
+    @pytest.mark.parametrize(
+        "reads, writes",
+        [([0, 100], []), ([0], [8192, 100]), ([0, 1 << 30], []), ([0], [1 << 30])],
+    )
+    def test_rejected_step_charges_nothing(self, reads, writes):
+        # Every offset is validated before any counter moves: a step
+        # rejected on its last offset leaves no read or write counted.
+        dev = self.make()
+        with pytest.raises(InvalidIOError):
+            dev.serve_step(reads, writes)
+        assert vars(dev.stats) == vars(DeviceStats())
+        assert (dev.steps_elapsed, dev.slots_used, dev.slots_wasted) == (0, 0, 0)
+        assert dev.clock == 0.0
 
     def test_empty_step_wastes_all_slots(self):
         dev = self.make()
